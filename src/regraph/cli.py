@@ -16,11 +16,10 @@ from .congestion import brute_force_congestion, congestion_report_csv, vertex_co
 from .cycles import probe_statistics, probe_statistics_csv
 from .generate import GenSpec, RetriesExhaustedError, random_regular
 from .graph import Graph, read_edge_list, write_edge_list
-from .hyperbolicity import exact_delta, hyperbolicity_report_json, sampled_delta
+from .hyperbolicity import EXACT_DELTA_CUTOFF, exact_delta, hyperbolicity_report_json, sampled_delta
 from .paths import diameter
 from .experiments import parse_config, run_experiment
 
-EXACT_DELTA_DEFAULT_CAP = 400
 DEFAULT_SAMPLES = 10_000
 
 
@@ -71,7 +70,7 @@ def _cmd_delta(args) -> int:
         report = exact_delta(g, cap=g.n)
     elif args.samples is not None:
         report = sampled_delta(g, args.samples, args.seed)
-    elif g.n <= EXACT_DELTA_DEFAULT_CAP:
+    elif g.n <= EXACT_DELTA_CUTOFF:
         report = exact_delta(g)
     else:
         report = sampled_delta(g, DEFAULT_SAMPLES, args.seed)

@@ -9,9 +9,10 @@ bound n-1 <= max T(v) hold on connected graphs.
 
 vertex_congestion is the fast path: a per-source counting BFS plus
 reverse dependency accumulation (Brandes' scheme extended with endpoint
-terms), vectorized level by level. Geodesic counts live in float64 there;
-once a source's counts reach 2^52 the accumulation is redone with exact
-Python integers, whose ratios still convert to correctly rounded floats.
+terms), vectorized level by level as row gathers from the padded neighbor
+table. Geodesic counts live in float64 there; once a source's counts
+reach 2^52 the accumulation is redone with exact Python integers, whose
+ratios still convert to correctly rounded floats.
 brute_force_congestion is the independent oracle: it enumerates every
 geodesic explicitly and accumulates exact rationals.
 """
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .graph import Graph
-from .paths import _gather_neighbors, bfs
+from .paths import bfs
 
 _SIGMA_GUARD = float(2**52)
 
@@ -52,25 +53,27 @@ class _SigmaOverflow(Exception):
     pass
 
 
-def _source_flow_fast(
-    indptr: np.ndarray, nbrs: np.ndarray, n: int, source: int
-) -> tuple[np.ndarray, int]:
+def _source_flow_fast(g: Graph, source: int) -> tuple[np.ndarray, int]:
     """(dependency vector, reachable count) for one source, vectorized.
 
     Raises _SigmaOverflow when geodesic counts leave the exactly
     representable float64 range.
     """
-    dist = np.full(n, -1, dtype=np.int32)
-    sigma = np.zeros(n, dtype=np.float64)
+    n = g.n
+    pad = g.padded_adjacency()
+    width = pad.shape[1]
+    # the padding sentinel n gets dist -2 and sigma 0: it never matches a
+    # level test, so padded slots drop out of every selection below
+    dist = np.full(n + 1, -1, dtype=np.int32)
+    dist[n] = -2
+    sigma = np.zeros(n + 1, dtype=np.float64)
     dist[source] = 0
     sigma[source] = 1.0
     levels = [np.array([source], dtype=np.int32)]
     level = 0
     while True:
         frontier = levels[-1]
-        origins, targets = _gather_neighbors(indptr, nbrs, frontier)
-        if targets.size == 0:
-            break
+        targets = pad[frontier].ravel()
         fresh = targets[dist[targets] == -1]
         if fresh.size == 0:
             break
@@ -78,21 +81,22 @@ def _source_flow_fast(
         nxt = np.unique(fresh)
         dist[nxt] = level
         forward = dist[targets] == level
+        origins = np.repeat(frontier, width)
         np.add.at(sigma, targets[forward], sigma[origins[forward]])
         levels.append(nxt)
     if sigma.max() >= _SIGMA_GUARD:
         raise _SigmaOverflow
-    delta = np.zeros(n, dtype=np.float64)
+    delta = np.zeros(n + 1, dtype=np.float64)
     for lvl in range(len(levels) - 1, 0, -1):
         members = levels[lvl]
-        origins, targets = _gather_neighbors(indptr, nbrs, members)
+        targets = pad[members].ravel()
         back = dist[targets] == lvl - 1
-        w = origins[back]
+        w = np.repeat(members, width)[back]
         v = targets[back]
         np.add.at(delta, v, sigma[v] / sigma[w] * (1.0 + delta[w]))
     delta[source] = 0.0
     reach = sum(len(lv) for lv in levels) - 1
-    return delta, reach
+    return delta[:n], reach
 
 
 def _source_flow_exact(g: Graph, source: int) -> tuple[list[float], int]:
@@ -118,12 +122,11 @@ def vertex_congestion(g: Graph) -> CongestionReport:
     n = g.n
     if n == 0:
         return CongestionReport([], 0.0, None, 0, 0)
-    indptr, nbrs = g.csr_arrays()
     acc = np.zeros(n, dtype=np.float64)
     reach = np.zeros(n, dtype=np.int64)
     for s in range(n):
         try:
-            delta, r = _source_flow_fast(indptr, nbrs, n, s)
+            delta, r = _source_flow_fast(g, s)
             acc += delta
         except _SigmaOverflow:
             delta_list, r = _source_flow_exact(g, s)

@@ -21,9 +21,11 @@ from collections import deque
 from dataclasses import dataclass
 from statistics import median
 
+import numpy as np
+
 from .graph import Graph
 from .hyperbolicity import quadruple_defect_from_distances
-from .paths import bfs, extract_one_geodesic, single_source_distances
+from .paths import BLOCK, bfs, distance_rows, extract_one_geodesic, single_source_distances
 
 
 @dataclass
@@ -42,8 +44,8 @@ def _detour(
 ) -> list[int] | None:
     """Shortest start->goal path avoiding banned vertices; None if cut off.
 
-    BFS over sorted adjacency with the smallest-index predecessor rule,
-    so ties resolve the same way as every other path extraction.
+    BFS over sorted adjacency; each vertex's predecessor is the first
+    vertex to discover it, so ties resolve deterministically.
     """
     n = g.n
     dist: list[int | None] = [None] * n
@@ -111,15 +113,12 @@ def cycle_defect(g: Graph, cycle: list[int]) -> int:
         nxt = cycle[(i + 1) % length]
         if not g.has_edge(u, nxt):
             raise ValueError(f"({u}, {nxt}) is not an edge of the graph")
-    worst = 0
-    for i in range(length):
-        row = single_source_distances(g, cycle[i])
-        for j in range(i + 1, length):
-            arc = j - i
-            d_c = min(arc, length - arc)
-            gap = d_c - int(row[cycle[j]])
-            if gap > worst:
-                worst = gap
+    pos = np.arange(length)
+    worst = 0  # the diagonal's gap
+    for lo in range(0, length, BLOCK):
+        d_g = distance_rows(g, [(v,) for v in cycle[lo : lo + BLOCK]])[:, cycle]
+        arc = np.abs(pos[lo : lo + BLOCK, None] - pos)
+        worst = max(worst, int((np.minimum(arc, length - arc) - d_g).max()))
     return worst
 
 
@@ -133,9 +132,7 @@ def witness_quadruple(
         raise ValueError("cycle too short for a quadruple")
     pos = (0, length // 4, length // 2, (3 * length) // 4)
     x1, x2, x3, x4 = (probe.cycle[p] for p in pos)
-    r1 = single_source_distances(g, x1)
-    r2 = single_source_distances(g, x2)
-    r3 = single_source_distances(g, x3)
+    r1, r2, r3 = distance_rows(g, [(x1,), (x2,), (x3,)])
     defect = quadruple_defect_from_distances(
         int(r1[x2]), int(r1[x3]), int(r1[x4]), int(r2[x3]), int(r2[x4]), int(r3[x4])
     )

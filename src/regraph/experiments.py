@@ -29,14 +29,13 @@ from statistics import fmean, pstdev
 from .congestion import vertex_congestion
 from .cycles import find_cycle_through_pair, probe_statistics, witness_quadruple
 from .generate import GenSpec, RetriesExhaustedError, random_regular
-from .hyperbolicity import exact_delta, sampled_delta
+from .hyperbolicity import EXACT_DELTA_CUTOFF, exact_delta, sampled_delta
 from .paths import diameter
 from .seeding import derive_seed
 from .svgplot import Plot
 
 KINDS = ("congestion_scaling", "delta_scaling", "diameter_scaling", "cycle_stats")
 
-EXACT_DELTA_CUTOFF = 400
 DEFAULT_DELTA_SAMPLES = 100_000
 DEFAULT_PAIR_SAMPLES = 200
 WITNESS_PAIRS = 32
@@ -242,16 +241,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         for n in ns
         for rep in range(cfg.replications)
     ]
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1 or len(tasks) == 1:
+    # more workers than tasks or cores would only idle or oversubscribe
+    nworkers = min(_resolve_workers(workers), len(tasks), os.cpu_count() or 1)
+    if nworkers == 1:
         raw_rows = [_replicate_metrics(*t) for t in tasks]
     else:
         try:
             with ProcessPoolExecutor(max_workers=nworkers) as pool:
                 futures = [pool.submit(_replicate_metrics, *t) for t in tasks]
                 raw_rows = [f.result() for f in futures]
-        except (OSError, PermissionError):
+        except (OSError, PermissionError) as exc:
             # sandboxed environments may refuse worker processes
+            print(f"warning: process pool failed ({exc!r}), running serially", file=sys.stderr)
             raw_rows = [_replicate_metrics(*t) for t in tasks]
 
     out_dir = Path(cfg.output_dir)

@@ -19,12 +19,12 @@ graphs) exist as closed-form oracles for the analysis modules.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
+from .paths import single_source_distances
 from .seeding import _GOLDEN, _MIX1, _MIX2, MASK64, splitmix64
 
 
@@ -148,17 +148,4 @@ def complete_graph(n: int) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches every vertex (true for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if not seen[y]:
-                seen[y] = 1
-                count += 1
-                queue.append(y)
-    return count == g.n
+    return g.n <= 1 or bool((single_source_distances(g, 0) >= 0).all())

@@ -2,8 +2,9 @@
 
 Vertices are dense integers 0..n-1. Neighbor lists are stored sorted so
 that every traversal (BFS order, predecessor tie-breaks, path extraction)
-is deterministic. Instances never mutate after construction and are safe
-to share across workers.
+is deterministic; vectorized traversals read the padded neighbor table.
+Instances never mutate after construction and are safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 class Graph:
     """Simple undirected graph: no self-loops, no multi-edges."""
 
-    __slots__ = ("n", "m", "_adj", "_edges", "_csr")
+    __slots__ = ("n", "m", "_adj", "_edges", "_pad")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -38,7 +39,7 @@ class Graph:
         self.m = len(seen)
         self._edges = tuple(sorted(seen))
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._csr = None
+        self._pad = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -70,17 +71,17 @@ class Graph:
         # neighbor lists are short in practice; linear scan is fine
         return 0 <= u < self.n and v in self._adj[u]
 
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, neighbor) arrays for vectorized traversals; built once."""
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for v in range(self.n):
-                indptr[v + 1] = indptr[v] + len(self._adj[v])
-            flat = np.fromiter(
+    def padded_adjacency(self) -> np.ndarray:
+        """(n+1, max_degree) int32 table, built once: row v holds v's sorted
+        neighbors padded with the sentinel n, and row n is all sentinel."""
+        if self._pad is None:
+            deg = np.fromiter(map(len, self._adj), dtype=np.int64, count=self.n)
+            pad = np.full((self.n + 1, int(deg.max(initial=0))), self.n, dtype=np.int32)
+            pad[: self.n][np.arange(pad.shape[1]) < deg[:, None]] = np.fromiter(
                 (w for a in self._adj for w in a), dtype=np.int32, count=2 * self.m
             )
-            self._csr = (indptr, flat)
-        return self._csr
+            self._pad = pad
+        return self._pad
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -16,13 +16,24 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
-from .paths import bfs, distance_matrix, extract_one_geodesic, single_source_distances
+from .paths import (
+    BLOCK,
+    bfs,
+    distance_matrix,
+    distance_rows,
+    extract_one_geodesic,
+    single_source_distances,
+    source_block,
+)
+
+# Largest n that exact_delta, the CLI's delta command and auto-mode sweeps
+# handle exactly by default; the quartic scan takes minutes at this size.
+EXACT_DELTA_CUTOFF = 400
 
 
 @dataclass
@@ -65,7 +76,7 @@ def four_point_defect(dm: np.ndarray, x1: int, x2: int, x3: int, x4: int) -> flo
     return quadruple_defect_from_distances(d12, d13, d14, d23, d24, d34)
 
 
-def exact_delta(g: Graph, cap: int = 400) -> HyperbolicityReport:
+def exact_delta(g: Graph, cap: int = EXACT_DELTA_CUTOFF) -> HyperbolicityReport:
     """Maximum defect over all quadruples; quartic scan, hence the cap.
 
     Deterministic: anchor pairs are visited in lexicographic order and
@@ -111,9 +122,9 @@ def exact_delta(g: Graph, cap: int = 400) -> HyperbolicityReport:
 def sampled_delta(g: Graph, samples: int, seed: int) -> HyperbolicityReport:
     """Max defect over uniform random quadruples (with replacement).
 
-    A lower-bound estimator for exact_delta. BFS distance rows are
-    computed on demand and memoized, so at most min(n, 4*samples) sweeps
-    run regardless of the sample count.
+    A lower-bound estimator for exact_delta. Distance rows are computed
+    on demand, a whole BLOCK-source block per miss, and memoized, so at
+    most ceil(n / BLOCK) block sweeps run regardless of the sample count.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -128,8 +139,9 @@ def sampled_delta(g: Graph, samples: int, seed: int) -> HyperbolicityReport:
     def row(v: int) -> np.ndarray:
         r = rows.get(v)
         if r is None:
-            r = single_source_distances(g, v)
-            rows[v] = r
+            lo = v - v % BLOCK
+            rows.update(enumerate(source_block(g, lo), lo))
+            r = rows[v]
         return r
 
     rng = random.Random(seed)
@@ -155,21 +167,6 @@ def sampled_delta(g: Graph, samples: int, seed: int) -> HyperbolicityReport:
     return HyperbolicityReport(best / 2.0, witness, "sampled", samples_used=samples)
 
 
-def _multi_source_distances(g: Graph, sources: set[int]) -> list[int | None]:
-    dist: list[int | None] = [None] * g.n
-    queue = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def triangle_fatness(g: Graph, a: int, b: int, c: int) -> int:
     """Smallest t such that each side of the geodesic triangle abc lies
     within distance t of the union of the other two sides.
@@ -186,17 +183,13 @@ def triangle_fatness(g: Graph, a: int, b: int, c: int) -> int:
     side_ab = extract_one_geodesic(spd_a, b)
     side_bc = extract_one_geodesic(spd_b, c)
     side_ca = extract_one_geodesic(spd_c, a)
-    fat = 0
     sides = (side_ab, side_bc, side_ca)
-    for i, side in enumerate(sides):
-        union = set(sides[(i + 1) % 3]) | set(sides[(i + 2) % 3])
-        dist = _multi_source_distances(g, union)
-        for u in side:
-            du = dist[u]
-            assert du is not None  # union is nonempty within one component
-            if du > fat:
-                fat = du
-    return fat
+    # row i: distance to the union of the two sides other than side i
+    rows = distance_rows(
+        g, [set(sides[(i + 1) % 3]) | set(sides[(i + 2) % 3]) for i in range(3)]
+    )
+    # every side lies in the corners' component, where the unions are nonempty
+    return max(int(rows[i][side].max()) for i, side in enumerate(sides))
 
 
 def hyperbolicity_report_json(

@@ -1,11 +1,11 @@
-"""Unweighted shortest paths: counting BFS, distance matrices, diameter.
+"""Unweighted shortest paths: counting BFS, distance rows, diameter.
 
-Two traversal surfaces coexist on purpose. bfs() is the pure-Python
-reference: it returns distances, exact geodesic counts (Python integers,
-so no overflow), the predecessor DAG, and the discovery order, and it is
-what path extraction and the brute-force oracles consume.
-single_source_distances() is the vectorized fast path used by the
-all-pairs drivers, where only hop counts are needed.
+bfs() is the pure-Python reference: distances, exact geodesic counts
+(Python integers, so no overflow), the predecessor DAG, and the discovery
+order; path extraction and the brute-force oracles consume it. Every
+hop-count query goes through one vectorized kernel instead, distance_rows():
+a bit-parallel BFS (Then et al., "The More the Merrier", VLDB 2014) that
+runs up to BLOCK searches at once, one bit each per vertex.
 
 Unreachable vertices carry dist None in ShortestPathData and -1 in the
 numpy arrays; no arithmetic is ever done on either sentinel.
@@ -14,11 +14,14 @@ numpy arrays; no arithmetic is ever done on either sentinel.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
+
+BLOCK = 64  # searches per distance_rows call: the bits of one uint64 word
 
 
 @dataclass
@@ -64,46 +67,65 @@ def bfs(g: Graph, source: int) -> ShortestPathData:
     return ShortestPathData(source, dist, sigma, preds, order)
 
 
+def distance_rows(g: Graph, seed_sets: Sequence[Iterable[int]]) -> np.ndarray:
+    """Hop counts from each of up to BLOCK seed sets, as a (k, n) int32 array.
+
+    Row i holds every vertex's distance to the nearest vertex of
+    seed_sets[i]; -1 marks vertices no seed reaches.
+    """
+    n = g.n
+    k = len(seed_sets)
+    if not 1 <= k <= BLOCK:
+        raise ValueError(f"need 1 to {BLOCK} seed sets, got {k}")
+    pad = g.padded_adjacency()
+    # bit i of seen[v] is set once search i has reached v; the sentinel
+    # row n stays 0, so padding slots contribute nothing to the OR
+    seen = np.zeros(n + 1, dtype=np.uint64)
+    for i, seeds in enumerate(seed_sets):
+        for s in seeds:
+            if not (0 <= s < n):
+                raise ValueError(f"source {s} out of range for n={n}")
+            seen[s] |= np.uint64(1 << i)
+    # bit i of planes[b][v] is bit b of search i's distance to v, so each
+    # level costs O(n log level) word operations, not O(n k)
+    planes: list[np.ndarray] = []
+    front = seen
+    level = 0
+    while True:
+        front = np.bitwise_or.reduce(front[pad], axis=1) & ~seen
+        if not front.any():
+            break
+        seen |= front
+        level += 1
+        if level >> len(planes):
+            planes.append(np.zeros_like(seen))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= front
+    out = np.zeros((k, n), dtype=np.int32)
+    # shift and mask eight searches at a time: the (8, n) temporaries stay
+    # cache-sized, where all k at once would raise peak memory
+    for lo in range(0, k, 8):
+        shifts = np.arange(lo, min(lo + 8, k), dtype=np.uint64)[:, None]
+        rows = out[lo : lo + 8]
+        for b, plane in enumerate(planes):
+            rows |= ((plane[:n] >> shifts) & 1).astype(np.int32) << b
+        rows[((seen[:n] >> shifts) & 1) == 0] = -1
+    return out
+
+
 def single_source_distances(g: Graph, source: int) -> np.ndarray:
     """Hop counts from source as an int32 array; -1 marks unreachable."""
-    n = g.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range for n={n}")
-    indptr, nbrs = g.csr_arrays()
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int32)
-    level = 0
-    while frontier.size:
-        _, targets = _gather_neighbors(indptr, nbrs, frontier)
-        fresh = targets[dist[targets] == -1]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        level += 1
-        dist[frontier] = level
-    return dist
+    return distance_rows(g, [(source,)])[0]
 
 
-def _gather_neighbors(
-    indptr: np.ndarray, nbrs: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (origin, neighbor) incidences of the frontier, as parallel arrays."""
-    counts = (indptr[frontier + 1] - indptr[frontier]).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty
-    origins = np.repeat(frontier, counts)
-    starts = np.repeat(indptr[frontier], counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return origins, nbrs[starts + within]
+def source_block(g: Graph, lo: int) -> np.ndarray:
+    """Distance rows of the sources lo, lo+1, ..., up to BLOCK of them."""
+    return distance_rows(g, [(s,) for s in range(lo, min(lo + BLOCK, g.n))])
 
 
 def distance_matrix(g: Graph, cap: int = 5000) -> np.ndarray:
-    """All-pairs hop counts (n BFS sweeps), int32, -1 for disconnected pairs.
+    """All-pairs hop counts, int32, -1 for disconnected pairs.
 
     Materializing is quadratic in memory, so it is refused above cap;
     larger analyses stream per-source results instead.
@@ -111,24 +133,17 @@ def distance_matrix(g: Graph, cap: int = 5000) -> np.ndarray:
     if g.n > cap:
         raise ValueError(f"distance matrix for n={g.n} exceeds cap={cap}")
     out = np.empty((g.n, g.n), dtype=np.int32)
-    for s in range(g.n):
-        out[s] = single_source_distances(g, s)
+    for lo in range(0, g.n, BLOCK):
+        out[lo : lo + BLOCK] = source_block(g, lo)
     return out
 
 
 def diameter(g: Graph) -> int:
-    """Largest hop distance over all pairs. Raises on disconnected input."""
-    if g.n <= 1:
-        return 0
-    best = 0
-    for s in range(g.n):
-        dist = single_source_distances(g, s)
-        ecc = int(dist.max())
-        if s == 0 and (dist == -1).any():
-            raise ValueError("diameter is undefined on a disconnected graph")
-        if ecc > best:
-            best = ecc
-    return best
+    """Largest hop distance over all pairs, streamed BLOCK rows at a time.
+    Raises on disconnected input."""
+    if g.n and (single_source_distances(g, 0) == -1).any():
+        raise ValueError("diameter is undefined on a disconnected graph")
+    return max((int(source_block(g, lo).max()) for lo in range(0, g.n, BLOCK)), default=0)
 
 
 def extract_one_geodesic(spd: ShortestPathData, target: int) -> list[int]:

@@ -202,9 +202,8 @@ def _ladder(levels: int) -> Graph:
 
 def test_sigma_overflow_guard_triggers():
     g = _ladder(56)  # counts reach 2^54 end to end
-    indptr, nbrs = g.csr_arrays()
     with pytest.raises(_SigmaOverflow):
-        _source_flow_fast(indptr, nbrs, g.n, 0)
+        _source_flow_fast(g, 0)
 
 
 def test_vertex_congestion_survives_sigma_overflow():
@@ -218,9 +217,8 @@ def test_vertex_congestion_survives_sigma_overflow():
 
 def test_fast_and_exact_source_accumulation_agree():
     g = gnp_graph(24, 0.2, 7)
-    indptr, nbrs = g.csr_arrays()
     for s in range(g.n):
-        fast, reach_fast = _source_flow_fast(indptr, nbrs, g.n, s)
+        fast, reach_fast = _source_flow_fast(g, s)
         exact, reach_exact = _source_flow_exact(g, s)
         assert reach_fast == reach_exact
         assert np.allclose(fast, exact, atol=1e-9)

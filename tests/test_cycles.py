@@ -85,6 +85,10 @@ def test_cycle_defect_square_in_clique():
 def test_cycle_defect_chorded_hexagon():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
     assert cycle_defect(g, [0, 1, 2, 3, 4, 5]) == 2
+    # a 150-cycle spans three 64-row blocks; the chord 100-140 cuts arc
+    # distance 40 to 1, and no row of the first block sees that gap
+    g = Graph(150, [(i, (i + 1) % 150) for i in range(150)] + [(100, 140)])
+    assert cycle_defect(g, list(range(150))) == 39
 
 
 def test_cycle_defect_validation():

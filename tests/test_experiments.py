@@ -1,4 +1,6 @@
+import os
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 from statistics import fmean, pstdev
 
 import pytest
@@ -226,6 +228,60 @@ def test_worker_count_env_override(tmp_path, monkeypatch):
     )
     result = run_experiment(cfg)
     assert len(result.rows) == 1
+
+
+def test_pool_size_is_capped_by_tasks_and_cores(tmp_path, monkeypatch):
+    import regraph.experiments as experiments
+
+    sizes = []
+
+    class InlinePool:
+        """Records the requested pool size and runs each task inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv("REGRAPH_THREADS", "5000")
+    cfg = ExperimentConfig(  # 6 tasks
+        "diameter_scaling", 3, [16, 20], seed=5, replications=3, output_dir=str(tmp_path)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = run_experiment(cfg)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_experiment(cfg)
+    assert sizes == [4, 6]
+    serial = run_experiment(cfg, workers=1)
+    assert [r["diameter"] for r in pooled.rows] == [r["diameter"] for r in serial.rows]
+
+
+def test_pool_failure_runs_serially_with_one_warning(tmp_path, monkeypatch, capsys):
+    import regraph.experiments as experiments
+
+    class RefusedPool:
+        def __init__(self, max_workers):
+            raise PermissionError("worker processes refused")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RefusedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cfg = ExperimentConfig(
+        "diameter_scaling", 3, [16], seed=5, replications=2, output_dir=str(tmp_path)
+    )
+    result = run_experiment(cfg, workers=2)
+    assert len(result.rows) == 2
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "process pool" in line]
+    assert len(warnings) == 1 and "PermissionError" in warnings[0]
 
 
 def test_plot_is_valid_svg_with_one_marker_per_aggregate(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regraph import (
     GenSpec,
@@ -16,6 +17,7 @@ from regraph import (
     random_regular,
     single_source_distances,
 )
+from regraph.paths import distance_rows
 
 from _util import gnp_graph, random_tree
 
@@ -156,3 +158,64 @@ def test_extract_geodesic_is_valid_path():
             assert path[0] == 0 and path[-1] == t
             for a, b in zip(path, path[1:]):
                 assert b in g.neighbors(a)
+
+
+@st.composite
+def _graphs(draw):
+    """Trees, forests and sparse gnp graphs on 1..150 vertices: uneven
+    degrees exercise the padding, forests and gnp the unreachable rows,
+    and n above 64 the block boundaries."""
+    n = draw(st.integers(1, 150))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(("tree", "forest", "gnp")))
+    if kind == "gnp":
+        return gnp_graph(n, draw(st.floats(0.0, 4.0)) / n, seed)
+    tree = random_tree(n, seed)
+    return tree if kind == "tree" else Graph(n, tree.edges[::2])
+
+
+def _bfs_matrix(g):
+    """All-pairs hop counts from the pure-Python reference, -1 unreachable."""
+    rows = [[-1 if d is None else d for d in bfs(g, s).dist] for s in range(g.n)]
+    return np.array(rows, dtype=np.int32).reshape(g.n, g.n)
+
+
+_KERNEL_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@_KERNEL_SETTINGS
+@given(_graphs())
+def test_kernel_source_rows_match_bfs(g):
+    ref = _bfs_matrix(g)
+    assert np.array_equal(distance_matrix(g), ref)
+    assert np.array_equal(single_source_distances(g, g.n - 1), ref[-1])
+    if (ref == -1).any():
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(g)
+    else:
+        assert diameter(g) == ref.max()
+
+
+@_KERNEL_SETTINGS
+@given(st.data())
+def test_kernel_seed_sets_match_min_of_bfs_rows(data):
+    g = data.draw(_graphs())
+    seed_sets = data.draw(
+        st.lists(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=5), min_size=1, max_size=64)
+    )
+    ref = _bfs_matrix(g)
+    for row, seeds in zip(distance_rows(g, seed_sets), seed_sets):
+        cols = ref[sorted(seeds)]
+        reached = cols >= 0
+        nearest = np.where(reached, cols, g.n).min(axis=0)
+        assert np.array_equal(row, np.where(reached.any(axis=0), nearest, -1))
+
+
+def test_distance_rows_rejects_bad_blocks():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="seed sets"):
+        distance_rows(g, [])
+    with pytest.raises(ValueError, match="seed sets"):
+        distance_rows(g, [(0,)] * 65)
+    with pytest.raises(ValueError, match="out of range"):
+        distance_rows(g, [(0,), (3,)])
