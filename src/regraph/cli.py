@@ -16,11 +16,10 @@ from .congestion import brute_force_congestion, congestion_report_csv, vertex_co
 from .cycles import probe_statistics, probe_statistics_csv
 from .generate import GenSpec, RetriesExhaustedError, random_regular
 from .graph import Graph, read_edge_list, write_edge_list
-from .hyperbolicity import EXACT_DELTA_CUTOFF, exact_delta, hyperbolicity_report_json, sampled_delta
+from .hyperbolicity import DEFAULT_DELTA_SAMPLES, EXACT_DELTA_CUTOFF, exact_delta, sampled_delta
+from .hyperbolicity import hyperbolicity_report_json
 from .paths import diameter
-from .experiments import parse_config, run_experiment
-
-DEFAULT_SAMPLES = 10_000
+from .experiments import _diameter_reference, parse_config, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +72,7 @@ def _cmd_delta(args) -> int:
     elif g.n <= EXACT_DELTA_CUTOFF:
         report = exact_delta(g)
     else:
-        report = sampled_delta(g, DEFAULT_SAMPLES, args.seed)
+        report = sampled_delta(g, DEFAULT_DELTA_SAMPLES, args.seed)
     print(_fmt_half(report.delta))
     print(hyperbolicity_report_json(report, g.n, g.regular_degree()))
     return 0
@@ -84,13 +83,10 @@ def _cmd_diameter(args) -> int:
     dia = diameter(g)
     print(dia)
     d = g.regular_degree()
-    if d is not None and d >= 3 and g.n >= 3:
-        ln = math.log(g.n, d - 1)
-        if ln > 1.0:
-            ref = ln + math.log(ln, d - 1)
-            print(
-                f"# reference d={d}: log_{d - 1}(n)+log_{d - 1}(log_{d - 1}(n)) = {ref:.3f}"
-            )
+    # the reference's inner log needs log_{d-1}(n) > 1
+    if d is not None and d >= 3 and g.n >= 3 and math.log(g.n, d - 1) > 1.0:
+        ref = _diameter_reference(g.n, d)
+        print(f"# reference d={d}: log_{d - 1}(n)+log_{d - 1}(log_{d - 1}(n)) = {ref:.3f}")
     return 0
 
 

@@ -16,7 +16,6 @@ that yields; it makes no claim of finding the best one.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from statistics import median
@@ -26,6 +25,7 @@ import numpy as np
 from .graph import Graph
 from .hyperbolicity import quadruple_defect_from_distances
 from .paths import BLOCK, bfs, distance_rows, extract_one_geodesic, single_source_distances
+from .seeding import below, keystream
 
 
 @dataclass
@@ -170,6 +170,18 @@ class ProbeStatistics:
     ref_loglog: float | None
 
 
+def sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
+    """count uniform ordered pairs of distinct vertices, without retries:
+    from words u0, u1 of seed's keystream, v = u0 mod n and
+    w = (v + 1 + u1 mod (n - 1)) mod n."""
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    words = keystream(seed, 0, 2 * count)
+    v = below(words[0::2], n)
+    w = (v + 1 + below(words[1::2], n - 1)) % n
+    return list(zip(v.tolist(), w.tolist()))
+
+
 def probe_statistics(g: Graph, pair_samples: int, seed: int) -> ProbeStatistics:
     """Probe uniformly sampled vertex pairs and summarize what was found."""
     n = g.n
@@ -179,13 +191,8 @@ def probe_statistics(g: Graph, pair_samples: int, seed: int) -> ProbeStatistics:
         raise ValueError("probe statistics need a connected graph")
     if pair_samples < 1:
         raise ValueError("need at least one pair sample")
-    rng = random.Random(seed)
     rows: list[ProbeRow] = []
-    for _ in range(pair_samples):
-        v = rng.randrange(n)
-        w = rng.randrange(n)
-        while w == v:
-            w = rng.randrange(n)
+    for v, w in sample_pairs(n, pair_samples, seed):
         probe = find_cycle_through_pair(g, v, w)
         if probe is None:
             rows.append(ProbeRow(v, w, found=False))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,16 +26,15 @@ from pathlib import Path
 from statistics import fmean, pstdev
 
 from .congestion import vertex_congestion
-from .cycles import find_cycle_through_pair, probe_statistics, witness_quadruple
+from .cycles import find_cycle_through_pair, probe_statistics, sample_pairs, witness_quadruple
 from .generate import GenSpec, RetriesExhaustedError, random_regular
-from .hyperbolicity import EXACT_DELTA_CUTOFF, exact_delta, sampled_delta
+from .hyperbolicity import DEFAULT_DELTA_SAMPLES, EXACT_DELTA_CUTOFF, exact_delta, sampled_delta
 from .paths import diameter
 from .seeding import derive_seed
 from .svgplot import Plot
 
 KINDS = ("congestion_scaling", "delta_scaling", "diameter_scaling", "cycle_stats")
 
-DEFAULT_DELTA_SAMPLES = 100_000
 DEFAULT_PAIR_SAMPLES = 200
 WITNESS_PAIRS = 32
 # the pairing model accepts a d=6 matching only about once in e^8.75 tries,
@@ -173,12 +171,7 @@ def _replicate_metrics(
         else:
             count = samples if samples is not None else DEFAULT_DELTA_SAMPLES
             best = sampled_delta(g, count, derive_seed(rep_seed, 1)).delta
-            rng = random.Random(derive_seed(rep_seed, 2))
-            for _ in range(WITNESS_PAIRS):
-                v = rng.randrange(n)
-                w = rng.randrange(n)
-                while w == v:
-                    w = rng.randrange(n)
+            for v, w in sample_pairs(n, WITNESS_PAIRS, derive_seed(rep_seed, 2)):
                 probe = find_cycle_through_pair(g, v, w)
                 if probe is not None and probe.length >= 4:
                     _, qd = witness_quadruple(g, probe)
@@ -199,12 +192,17 @@ def _replicate_metrics(
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """The argument, else REGRAPH_THREADS, else the CPU count; below 1 raises."""
     if workers is not None:
-        return max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        return workers
     env = os.environ.get("REGRAPH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"REGRAPH_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _fmt_cell(value) -> str:
@@ -326,13 +324,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     )
 
 
+def _log_grid(ns: list[int]) -> list[float]:
+    """40 geometrically spaced points from min(ns) to max(ns)."""
+    lo, hi = min(ns), max(ns)
+    return [lo * (hi / lo) ** (i / 39) for i in range(40)] if hi > lo else [float(lo)]
+
+
 def _anchored(fn, ns: list[int], anchor_n: int, anchor_y: float) -> list[tuple[float, float]]:
     """Sample fn on a dense grid, rescaled to hit (anchor_n, anchor_y)."""
     base = fn(anchor_n)
     scale = anchor_y / base if base > 0 else 1.0
-    lo, hi = min(ns), max(ns)
-    grid = [lo * (hi / lo) ** (i / 39) for i in range(40)] if hi > lo else [float(lo)]
-    return [(x, scale * fn(x)) for x in grid]
+    return [(x, scale * fn(x)) for x in _log_grid(ns)]
 
 
 def _build_plot(
@@ -368,11 +370,9 @@ def _build_plot(
             ylabel="mean diameter",
         )
         if d >= 3 and c_hat is not None:
-            lo, hi = min(ns), max(ns)
-            grid = [lo * (hi / lo) ** (i / 39) for i in range(40)] if hi > lo else [float(lo)]
             plot.add_curve(
                 f"log_{d - 1}(n)+log_{d - 1}(log_{d - 1}(n))+C",
-                [(x, _diameter_reference(int(round(x)), d) + c_hat) for x in grid],
+                [(x, _diameter_reference(int(round(x)), d) + c_hat) for x in _log_grid(ns)],
             )
     elif kind == "delta_scaling":
         plot = Plot(
@@ -381,10 +381,8 @@ def _build_plot(
             ylabel="mean delta",
         )
         if d >= 3:
-            lo, hi = min(ns), max(ns)
-            grid = [lo * (hi / lo) ** (i / 39) for i in range(40)] if hi > lo else [float(lo)]
             curve = []
-            for x in grid:
+            for x in _log_grid(ns):
                 ln = math.log(x, d - 1)
                 if ln > 1.0:
                     curve.append((x, 0.5 * (ln - 2 * math.log(ln, d - 1))))

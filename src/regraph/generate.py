@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import Graph
 from .paths import single_source_distances
-from .seeding import _GOLDEN, _MIX1, _MIX2, MASK64, splitmix64
+from .seeding import keystream
 
 
 class RetriesExhaustedError(RuntimeError):
@@ -55,18 +55,6 @@ class GenSpec:
             raise ValueError("max_retries must be positive")
 
 
-def _keystream(s0: int, start: int, count: int) -> np.ndarray:
-    """count consecutive splitmix64 outputs, vectorized (uint64 wraps mod 2^64)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x = np.uint64(s0) + idx * np.uint64(_GOLDEN)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
-    return x
-
-
 def random_regular(spec: GenSpec) -> Graph:
     """Draw a random d-regular graph; deterministic in (n, d, seed).
 
@@ -76,9 +64,8 @@ def random_regular(spec: GenSpec) -> Graph:
     """
     n, d = spec.n, spec.d
     half = n * d
-    s0 = splitmix64(spec.seed & MASK64)
     for attempt in range(spec.max_retries):
-        keys = _keystream(s0, attempt * half, half)
+        keys = keystream(spec.seed, attempt * half, half)
         perm = np.argsort(keys)  # uniform permutation of half-edges
         sorted_keys = keys[perm]
         if (sorted_keys[1:] == sorted_keys[:-1]).any():

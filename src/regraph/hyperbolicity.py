@@ -15,25 +15,24 @@ measurements agree only up to constants and are never equated here.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
-from .paths import (
-    BLOCK,
-    bfs,
-    distance_matrix,
-    distance_rows,
-    extract_one_geodesic,
-    single_source_distances,
-    source_block,
-)
+# single_source_distances is not called here, but bench/spans.py wraps it
+# in this module's namespace, so it stays imported
+from .paths import bfs, distance_matrix, distance_rows, extract_one_geodesic, single_source_distances
+from .seeding import below, keystream
 
 # Largest n that exact_delta, the CLI's delta command and auto-mode sweeps
 # handle exactly by default; the quartic scan takes minutes at this size.
 EXACT_DELTA_CUTOFF = 400
+# Quadruples drawn by the CLI's delta command and sweeps when no count is given
+DEFAULT_DELTA_SAMPLES = 100_000
+# Quadruples sampled_delta evaluates per numpy pass; bounds its scratch
+# arrays to a few hundred kB next to the n x n distance matrix.
+SAMPLE_CHUNK = 2048
 
 
 @dataclass
@@ -122,48 +121,34 @@ def exact_delta(g: Graph, cap: int = EXACT_DELTA_CUTOFF) -> HyperbolicityReport:
 def sampled_delta(g: Graph, samples: int, seed: int) -> HyperbolicityReport:
     """Max defect over uniform random quadruples (with replacement).
 
-    A lower-bound estimator for exact_delta. Distance rows are computed
-    on demand, a whole BLOCK-source block per miss, and memoized, so at
-    most ceil(n / BLOCK) block sweeps run regardless of the sample count.
+    A lower-bound estimator for exact_delta. Quadruple i is words 4i..4i+3
+    of seed's keystream mod n, evaluated SAMPLE_CHUNK at a time against the
+    n x n distance matrix the call holds; the witness is the first maximum.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    probe = single_source_distances(g, 0)
-    if (probe == -1).any():
+    dm = distance_matrix(g, cap=n)
+    if dm.min() < 0:
         raise ValueError("sampled delta needs a connected graph")
-    rows: dict[int, np.ndarray] = {0: probe}
-
-    def row(v: int) -> np.ndarray:
-        r = rows.get(v)
-        if r is None:
-            lo = v - v % BLOCK
-            rows.update(enumerate(source_block(g, lo), lo))
-            r = rows[v]
-        return r
-
-    rng = random.Random(seed)
     best = -1
     witness = (0, 0, 0, 0)
-    for _ in range(samples):
-        x1 = rng.randrange(n)
-        x2 = rng.randrange(n)
-        x3 = rng.randrange(n)
-        x4 = rng.randrange(n)
-        r1 = row(x1)
-        r2 = row(x2)
-        r3 = row(x3)
-        s_a = int(r1[x3]) + int(r2[x4])
-        s_b = int(r1[x2]) + int(r3[x4])
-        s_c = int(r1[x4]) + int(r2[x3])
-        hi = max(s_a, s_b, s_c)
-        lo = min(s_a, s_b, s_c)
+    for start in range(0, samples, SAMPLE_CHUNK):
+        count = min(SAMPLE_CHUNK, samples - start)
+        quads = below(keystream(seed, 4 * start, 4 * count), n).reshape(count, 4)
+        x1, x2, x3, x4 = quads.T
+        s_a = dm[x1, x3] + dm[x2, x4]
+        s_b = dm[x1, x2] + dm[x3, x4]
+        s_c = dm[x1, x4] + dm[x2, x3]
+        hi = np.maximum(np.maximum(s_a, s_b), s_c)
+        lo = np.minimum(np.minimum(s_a, s_b), s_c)
         val = 2 * hi - (s_a + s_b + s_c) + lo  # hi - mid
-        if val > best:
-            best = val
-            witness = (x1, x2, x3, x4)
+        k = int(val.argmax())  # the chunk's first maximum
+        if val[k] > best:
+            best = int(val[k])
+            witness = tuple(int(x) for x in quads[k])
     return HyperbolicityReport(best / 2.0, witness, "sampled", samples_used=samples)
 
 

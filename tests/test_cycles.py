@@ -17,6 +17,7 @@ from regraph import (
     single_source_distances,
     witness_quadruple,
 )
+from regraph.cycles import sample_pairs
 
 from _util import random_tree
 
@@ -203,3 +204,18 @@ def test_probe_statistics_validation():
         probe_statistics(Graph(4, [(0, 1), (2, 3)]), 5, seed=0)
     with pytest.raises(ValueError, match="pair sample"):
         probe_statistics(cycle_graph(5), 0, seed=0)
+
+
+def test_sample_pairs_distinct_deterministic_and_covering():
+    assert sample_pairs(50, 200, seed=7) == sample_pairs(50, 200, seed=7)
+    assert sample_pairs(50, 200, seed=7) != sample_pairs(50, 200, seed=8)
+    for n in (2, 3, 10):
+        pairs = sample_pairs(n, 600, seed=n)
+        assert len(pairs) == 600
+        assert all(0 <= v < n and 0 <= w < n and v != w for v, w in pairs)
+    # uniform over ordered pairs: at n=3 all six appear
+    assert set(sample_pairs(3, 600, seed=1)) == {
+        (v, w) for v in range(3) for w in range(3) if v != w
+    }
+    with pytest.raises(ValueError, match="two vertices"):
+        sample_pairs(1, 5, seed=0)

@@ -230,6 +230,37 @@ def test_worker_count_env_override(tmp_path, monkeypatch):
     assert len(result.rows) == 1
 
 
+@pytest.mark.parametrize("env", ["0", "-4", "abc", "2.5", " "])
+def test_bad_worker_env_fails_loudly(tmp_path, monkeypatch, capsys, env):
+    import regraph.experiments as experiments
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool must not start")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("REGRAPH_THREADS", env)
+    with pytest.raises(ValueError, match="REGRAPH_THREADS"):
+        experiments._resolve_workers(None)
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))
+    assert main(["experiment", "--config", str(cfg_file)]) == 1
+    assert "REGRAPH_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_bad_worker_argument_fails_loudly(tmp_path, monkeypatch, capsys, workers):
+    import regraph.experiments as experiments
+
+    monkeypatch.setenv("REGRAPH_THREADS", "2")  # the argument is checked, not the env
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        experiments._resolve_workers(workers)
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))
+    assert main(["experiment", "--config", str(cfg_file), "--workers", str(workers)]) == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_pool_size_is_capped_by_tasks_and_cores(tmp_path, monkeypatch):
     import regraph.experiments as experiments
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from regraph import (
@@ -10,6 +12,7 @@ from regraph import (
     path_graph,
     random_regular,
     regular_tree,
+    write_edge_list,
 )
 
 
@@ -30,6 +33,15 @@ def test_random_regular_basic_contract():
     assert g.m == 15
     assert all(g.degree(v) == 3 for v in range(10))
     assert is_connected(g)
+
+
+@pytest.mark.parametrize(
+    "n, d, seed, digest", [(24, 3, 123, "2d5fdf91f410b75d"), (40, 4, 9, "1cf4bfb6d0a21290")]
+)
+def test_random_regular_stream_is_frozen(n, d, seed, digest):
+    # seeds are experiment provenance: the edge list of a seed never changes
+    text = write_edge_list(random_regular(GenSpec(n, d, seed)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_random_regular_deterministic():

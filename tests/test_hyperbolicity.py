@@ -19,6 +19,7 @@ from regraph import (
     sampled_delta,
     triangle_fatness,
 )
+from regraph.seeding import below, keystream
 
 from _util import gnp_graph, random_tree
 
@@ -143,6 +144,28 @@ def test_sampled_delta_witness_replays():
     rep = sampled_delta(g, 400, seed=3)
     dm = distance_matrix(g)
     assert four_point_defect(dm, *rep.witness) == rep.delta
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(11),
+        random_tree(37, 4),
+        random_regular(GenSpec(20, 3, seed=8)),
+        random_regular(GenSpec(64, 3, seed=2)),
+    ],
+    ids=["cycle", "tree", "rr20", "rr64"],
+)
+def test_sampled_delta_matches_python_loop(g):
+    # 5000 samples: two full chunks of 2048 and a ragged third
+    samples, seed = 5000, 17
+    dm = distance_matrix(g)
+    quads = below(keystream(seed, 0, 4 * samples), g.n).reshape(samples, 4).tolist()
+    defects = [four_point_defect(dm, *q) for q in quads]
+    best = max(defects)
+    rep = sampled_delta(g, samples, seed)
+    assert rep.delta == best
+    assert rep.witness == tuple(quads[defects.index(best)])
 
 
 def test_sampled_delta_deterministic():
