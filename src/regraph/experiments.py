@@ -97,8 +97,9 @@ _STR_KEYS = ("kind", "delta_mode", "output_dir")
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the line-oriented "key = value" config format.
 
-    Keys are exactly the ExperimentConfig fields; n_values is a
-    comma-separated list. Blank lines and #-comments are skipped.
+    Keys are exactly the ExperimentConfig fields, each given at most
+    once; n_values is a comma-separated list. Blank lines and #-comments
+    are skipped.
     """
     data: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -110,6 +111,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
         value = value.strip()
+        if key in data:
+            raise ValueError(f"config line {lineno}: key {key!r} is given more than once")
         if key == "n_values":
             try:
                 data[key] = [int(x) for x in value.split(",")]

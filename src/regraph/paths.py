@@ -5,7 +5,8 @@ bfs() is the pure-Python reference: distances, exact geodesic counts
 order; path extraction and the brute-force oracles consume it. Every
 hop-count query goes through one vectorized kernel instead, distance_rows():
 a bit-parallel BFS (Then et al., "The More the Merrier", VLDB 2014) that
-runs up to BLOCK searches at once, one bit each per vertex.
+runs up to BLOCK searches at once, one bit each per vertex. Congestion
+reads its BFS levels from the same kernel and counts geodesics itself.
 
 Unreachable vertices carry dist None in ShortestPathData and -1 in the
 numpy arrays; no arithmetic is ever done on either sentinel.
@@ -141,9 +142,13 @@ def distance_matrix(g: Graph, cap: int = 5000) -> np.ndarray:
 def diameter(g: Graph) -> int:
     """Largest hop distance over all pairs, streamed BLOCK rows at a time.
     Raises on disconnected input."""
-    if g.n and (single_source_distances(g, 0) == -1).any():
-        raise ValueError("diameter is undefined on a disconnected graph")
-    return max((int(source_block(g, lo).max()) for lo in range(0, g.n, BLOCK)), default=0)
+    best = 0
+    for lo in range(0, g.n, BLOCK):
+        rows = source_block(g, lo)
+        if rows.min() < 0:
+            raise ValueError("diameter is undefined on a disconnected graph")
+        best = max(best, int(rows.max()))
+    return best
 
 
 def extract_one_geodesic(spd: ShortestPathData, target: int) -> list[int]:

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import settings, strategies as st
+
 from regraph import GenSpec, Graph, random_regular
 
 
@@ -20,3 +22,20 @@ def random_tree(n: int, seed: int) -> Graph:
 
 def small_regular(n: int, d: int, seed: int, connected: bool = False) -> Graph:
     return random_regular(GenSpec(n, d, seed=seed, require_connected=connected))
+
+
+@st.composite
+def graphs(draw):
+    """Trees, forests and sparse gnp graphs on 1..150 vertices: uneven
+    degrees exercise the padding, forests and gnp the unreachable rows,
+    and n above 64 the block boundaries."""
+    n = draw(st.integers(1, 150))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(("tree", "forest", "gnp")))
+    if kind == "gnp":
+        return gnp_graph(n, draw(st.floats(0.0, 4.0)) / n, seed)
+    tree = random_tree(n, seed)
+    return tree if kind == "tree" else Graph(n, tree.edges[::2])
+
+
+KERNEL_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from regraph import (
     GenSpec,
     Graph,
+    bfs,
     brute_force_congestion,
     complete_graph,
     congestion_report_csv,
@@ -19,9 +21,8 @@ from regraph import (
     tree_max_congestion,
     vertex_congestion,
 )
-from regraph.congestion import _SigmaOverflow, _source_flow_exact, _source_flow_fast
 
-from _util import gnp_graph
+from _util import KERNEL_SETTINGS, graphs, gnp_graph, random_tree
 
 
 def test_path3_flows():
@@ -189,21 +190,14 @@ def test_congestion_scaling_bound_values():
         congestion_scaling_bound(100, 2)
 
 
-def _ladder(levels: int) -> Graph:
-    # pairs stacked in levels, complete bipartite between consecutive levels;
-    # geodesic counts double every level
+def _ladder(levels: int, width: int = 2) -> Graph:
+    # levels of `width` vertices, complete bipartite between consecutive
+    # levels; geodesic counts grow by a factor of width every level
     edges = []
     for i in range(levels - 1):
-        a, b = 2 * i, 2 * i + 1
-        c, d = 2 * i + 2, 2 * i + 3
-        edges += [(a, c), (a, d), (b, c), (b, d)]
-    return Graph(2 * levels, edges)
-
-
-def test_sigma_overflow_guard_triggers():
-    g = _ladder(56)  # counts reach 2^54 end to end
-    with pytest.raises(_SigmaOverflow):
-        _source_flow_fast(g, 0)
+        for a in range(width * i, width * (i + 1)):
+            edges += [(a, b) for b in range(width * (i + 1), width * (i + 2))]
+    return Graph(width * levels, edges)
 
 
 def test_vertex_congestion_survives_sigma_overflow():
@@ -215,13 +209,42 @@ def test_vertex_congestion_survives_sigma_overflow():
     _total_flow_identity(g, rep)
 
 
-def test_fast_and_exact_source_accumulation_agree():
-    g = gnp_graph(24, 0.2, 7)
+def _exact_brandes_flows(g) -> list[Fraction]:
+    """Flows by Brandes accumulation over bfs's exact integer counts."""
+    flows = [Fraction(0)] * g.n
     for s in range(g.n):
-        fast, reach_fast = _source_flow_fast(g, s)
-        exact, reach_exact = _source_flow_exact(g, s)
-        assert reach_fast == reach_exact
-        assert np.allclose(fast, exact, atol=1e-9)
+        spd = bfs(g, s)
+        dep = [Fraction(0)] * g.n
+        for w in reversed(spd.order):
+            for v in spd.preds[w]:
+                dep[v] += Fraction(spd.sigma[v], spd.sigma[w]) * (1 + dep[w])
+        # every other reached vertex: one endpoint unit plus half the
+        # dependency, since each unordered pair is routed from both ends
+        for v in spd.order[1:]:
+            flows[v] += 1 + dep[v] / 2
+    return flows
+
+
+def test_vertex_congestion_matches_exact_rationals_past_2_53():
+    g = _ladder(36, width=3)
+    assert max(bfs(g, 0).sigma) == 3**34 > 2**53  # odd, so the float count rounds
+    exact = _exact_brandes_flows(g)
+    rep = vertex_congestion(g)
+    for got, want in zip(rep.flows, exact):
+        assert abs(Fraction(got) - want) <= want * Fraction(1, 10**12)
+    assert rep.max_flow == max(rep.flows) and rep.argmax == exact.index(max(exact))
+
+
+@KERNEL_SETTINGS
+@given(graphs())
+@example(Graph(100, random_tree(100, 5).edges[::2]))  # forest, ragged last block
+@example(gnp_graph(130, 2.5 / 130, 11))
+def test_vertex_congestion_matches_oracle(g):
+    fast = vertex_congestion(g)
+    oracle = brute_force_congestion(g)
+    assert np.allclose(fast.flows, oracle.flows, rtol=0, atol=1e-9)
+    assert fast.total_demand == oracle.total_demand
+    assert fast.unrouted_pairs == oracle.unrouted_pairs
 
 
 def test_congestion_report_csv_shape():

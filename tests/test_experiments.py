@@ -72,6 +72,24 @@ def test_parse_config_errors():
         parse_config("kind cycle_stats")
 
 
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("kind = cycle_stats\nd = 3\nd = 4\nn_values = 10\nseed = 1", 3, "d"),
+        ("kind = cycle_stats\nseed = 1\nd = 3\nn_values = 10\n\n# again\nseed = 2", 7, "seed"),
+        ("kind = cycle_stats\nd = 3\nn_values = 10\nn_values = 12\nseed = 1", 4, "n_values"),
+    ],
+)
+def test_parse_config_rejects_repeated_key(tmp_path, capsys, text, line, key):
+    with pytest.raises(ValueError, match=f"config line {line}: key '{key}' is given more than once"):
+        parse_config(text)
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(text + f"\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["experiment", "--config", str(cfg_file)]) == 1
+    assert f"key '{key}' is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown experiment kind"):
         ExperimentConfig("bogus", 3, [10], seed=1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from regraph import (
     GenSpec,
@@ -19,7 +19,7 @@ from regraph import (
 )
 from regraph.paths import distance_rows
 
-from _util import gnp_graph, random_tree
+from _util import KERNEL_SETTINGS, graphs, gnp_graph, random_tree
 
 
 def test_bfs_cycle4():
@@ -160,31 +160,14 @@ def test_extract_geodesic_is_valid_path():
                 assert b in g.neighbors(a)
 
 
-@st.composite
-def _graphs(draw):
-    """Trees, forests and sparse gnp graphs on 1..150 vertices: uneven
-    degrees exercise the padding, forests and gnp the unreachable rows,
-    and n above 64 the block boundaries."""
-    n = draw(st.integers(1, 150))
-    seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(("tree", "forest", "gnp")))
-    if kind == "gnp":
-        return gnp_graph(n, draw(st.floats(0.0, 4.0)) / n, seed)
-    tree = random_tree(n, seed)
-    return tree if kind == "tree" else Graph(n, tree.edges[::2])
-
-
 def _bfs_matrix(g):
     """All-pairs hop counts from the pure-Python reference, -1 unreachable."""
     rows = [[-1 if d is None else d for d in bfs(g, s).dist] for s in range(g.n)]
     return np.array(rows, dtype=np.int32).reshape(g.n, g.n)
 
 
-_KERNEL_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
-
-
-@_KERNEL_SETTINGS
-@given(_graphs())
+@KERNEL_SETTINGS
+@given(graphs())
 def test_kernel_source_rows_match_bfs(g):
     ref = _bfs_matrix(g)
     assert np.array_equal(distance_matrix(g), ref)
@@ -196,10 +179,10 @@ def test_kernel_source_rows_match_bfs(g):
         assert diameter(g) == ref.max()
 
 
-@_KERNEL_SETTINGS
+@KERNEL_SETTINGS
 @given(st.data())
 def test_kernel_seed_sets_match_min_of_bfs_rows(data):
-    g = data.draw(_graphs())
+    g = data.draw(graphs())
     seed_sets = data.draw(
         st.lists(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=5), min_size=1, max_size=64)
     )
